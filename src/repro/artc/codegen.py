@@ -20,11 +20,18 @@ There is no per-action kind dispatch and no dict lookup in the loop;
 the only per-action runtime work left is the handler call itself, the
 report append, and the release decrements.
 
-Programs are compiled once per ``CompiledBenchmark`` and cached twice:
-on the benchmark object itself, and -- when the benchmark came out of a
-``.artcb`` artifact -- in a process-wide table keyed by the artifact's
-content address (the PR 5 artifact key), so reloading the same artifact
-makes codegen free.
+Program source and the claims table (``JitProgram.facts``) are emitted
+eagerly, in one pass; the bytecode is *linked* -- ``compile`` + ``exec``
+of the generated module -- lazily, on first access to
+``JitProgram.threads`` / ``.main``, i.e. on the first replay that runs
+the program.  Certification (:mod:`repro.verify.transval`) reads only
+the facts, so ``artc verify`` never pays for bytecode, and a later
+replay links the very object whose facts were certified: the
+certificate covers exactly the linked program.  Programs are cached
+twice: on the benchmark object itself, and -- when the benchmark came
+out of a ``.artcb`` artifact -- in a process-wide table keyed by the
+artifact's content address, so reloading the same artifact makes
+codegen free.
 
 Three variants cover the scoreboard core's fast-path modes:
 
@@ -50,12 +57,18 @@ from repro.vfs import flags as F
 
 #: Process-wide codegen statistics, exported as ``replay.jit.*`` gauges
 #: when a jit-core replay runs with observability attached.
+#: ``compile_seconds`` is emit + link time; ``link_seconds`` is the link
+#: share alone and ``links`` counts linked programs, so emitted-but-never-
+#: linked programs (certified, not replayed) show as
+#: ``codegen_modules - links``.
 COUNTERS = {
     "codegen_modules": 0,
     "codegen_functions": 0,
     "cache_hits_benchmark": 0,
     "cache_hits_content": 0,
     "compile_seconds": 0.0,
+    "link_seconds": 0.0,
+    "links": 0,
     "source_bytes": 0,
 }
 
@@ -77,18 +90,55 @@ class JitProgram(object):
     The translation validator (:mod:`repro.verify.transval`) checks
     these claims against independently derived obligations; they are
     never consulted on the replay hot path.
+
+    The generator functions are linked from ``sources`` on first
+    access to :attr:`threads` or :attr:`main`, once per program.
     """
 
-    __slots__ = ("variant", "threads", "main", "sources", "n_functions",
-                 "facts")
+    __slots__ = ("variant", "sources", "n_functions", "facts", "_tids",
+                 "_namespace", "_filename", "_threads", "_main")
 
-    def __init__(self, variant, threads, main, sources, facts=None):
+    def __init__(self, variant, sources, facts, namespace, filename, tids):
         self.variant = variant
-        self.threads = threads  # tid -> generator function (artc/free)
-        self.main = main  # single generator function (seq)
         self.sources = sources  # function name -> generated source
         self.n_functions = len(sources)
-        self.facts = facts if facts is not None else {}
+        self.facts = facts
+        self._tids = tids  # thread order of the _t<j> functions (artc/free)
+        self._namespace = namespace  # bound constants; None once linked
+        self._filename = filename
+        self._threads = None
+        self._main = None
+
+    @property
+    def threads(self):
+        """tid -> generator function (artc/free variants), else None."""
+        if self._namespace is not None:
+            self._link()
+        return self._threads
+
+    @property
+    def main(self):
+        """The single generator function (seq variant), else None."""
+        if self._namespace is not None:
+            self._link()
+        return self._main
+
+    def _link(self):
+        started = time.perf_counter()
+        namespace = self._namespace
+        source = "\n".join(self.sources.values())
+        exec(compile(source, self._filename, "exec"), namespace)
+        if self.variant == "seq":
+            self._main = namespace["_seq"]
+        else:
+            self._threads = {
+                tid: namespace["_t%d" % j] for j, tid in enumerate(self._tids)
+            }
+        self._namespace = None
+        elapsed = time.perf_counter() - started
+        COUNTERS["links"] += 1
+        COUNTERS["link_seconds"] += elapsed
+        COUNTERS["compile_seconds"] += elapsed
 
 
 def program_for(benchmark, plan, variant, reduced=False):
@@ -137,33 +187,26 @@ def _compile_program(benchmark, plan, variant, reduced):
     emitter = _Emitter(namespace)
     entries = plan.entries
     actions = benchmark.actions
+    tids = None
     if variant == "seq":
         emitter.function("_seq", actions, entries, sync=None)
         sources = {"_seq": emitter.flush()}
     else:
         sync = _Sync(benchmark, reduced) if variant == "artc" else None
         sources = {}
+        tids = []
         for j, (tid, thread_actions) in enumerate(benchmark.by_thread().items()):
             name = "_t%d" % j
             emitter.function(name, thread_actions, entries, sync=sync, tid=tid)
             sources[name] = emitter.flush()
-    source = "\n".join(sources.values())
+            tids.append(tid)
     filename = "<artc-jit:%s:%s>" % (benchmark.label or "benchmark", variant)
-    exec(compile(source, filename, "exec"), namespace)
-    threads = None
-    main = None
-    if variant == "seq":
-        main = namespace["_seq"]
-    else:
-        threads = {
-            tid: namespace["_t%d" % j]
-            for j, tid in enumerate(benchmark.by_thread())
-        }
     COUNTERS["codegen_modules"] += 1
     COUNTERS["codegen_functions"] += len(sources)
-    COUNTERS["source_bytes"] += len(source)
+    COUNTERS["source_bytes"] += sum(len(text) for text in sources.values())
     COUNTERS["compile_seconds"] += time.perf_counter() - started
-    return JitProgram(variant, threads, main, sources, emitter.facts)
+    return JitProgram(variant, sources, emitter.facts, namespace, filename,
+                      tids)
 
 
 def _make_driver(engine):

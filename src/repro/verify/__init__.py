@@ -37,7 +37,13 @@ from repro.verify.abstract import (
     predict,
     predict_all,
 )
-from repro.verify.transval import CORES, Certificate, certify, plan_pass
+from repro.verify.transval import (
+    CORES,
+    Certificate,
+    certify,
+    certify_cores,
+    plan_pass,
+)
 
 __all__ = [
     "UNKNOWN",
@@ -48,6 +54,7 @@ __all__ = [
     "VerifyResult",
     "capture_entries",
     "certify",
+    "certify_cores",
     "cross_check",
     "digest_of_entries",
     "fs_digest",
@@ -176,12 +183,11 @@ def verify_benchmark(benchmark: Any, cores: Optional[Sequence[str]] = None,
     if dynamic and platform is None:
         raise ValueError("dynamic cross-check requires a platform")
     report = LintReport(label=benchmark.label or "")
-    certificates: List[Certificate] = []
-    for core in (cores or CORES):
-        cert = certify(benchmark, core, max_findings=max_findings)
-        certificates.append(cert)
+    certificates = certify_cores(benchmark, cores or CORES,
+                                 max_findings=max_findings)
+    for cert in certificates:
         report.add(PassResult(
-            "transval:%s" % core, cert.findings,
+            "transval:%s" % cert.core, cert.findings,
             {"obligations": cert.n_obligations,
              "certified": int(cert.ok)},
         ))

@@ -59,7 +59,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.deps import build_dependencies
 from repro.core.model import Action, TraceModel
 from repro.core.modes import ReplayMode, RuleSet
-from repro.lint.conflicts import find_races
+from repro.lint.conflicts import find_races, touch_table
 from repro.syscalls.emulation import DEFAULT_OPTIONS, EmulationOptions, plan_for
 from repro.syscalls.registry import spec_for
 from repro.tracing.snapshot import Snapshot
@@ -1305,20 +1305,36 @@ def _model_actions(benchmark: Any) -> List[Action]:
     return cached
 
 
+def _touch_table(benchmark: Any) -> Dict[Any, Any]:
+    """The race scan's per-resource touch series.  Cached: it depends
+    only on the touch stream, never on a mode's rules."""
+    cached = getattr(benchmark, "_abstract_touch_table", None)
+    if cached is None:
+        cached = touch_table(_model_actions(benchmark))
+        benchmark._abstract_touch_table = cached
+    return cached
+
+
 def _mode_races(benchmark: Any, mode: str) -> Optional[int]:
     """Unordered conflicting pairs under ``mode``'s constraints, or
-    None when the scan was budget-truncated (treated as unknown)."""
+    None when the scan was budget-truncated (treated as unknown).
+
+    Cached per constraint graph, not per mode: ARTC scans the compiled
+    dependency graph, while TEMPORAL and UNCONSTRAINED guarantee only
+    thread order and so share one scan."""
     cache: Dict[str, Optional[int]] = getattr(benchmark, "_abstract_races", None) or {}
-    if mode in cache:
-        return cache[mode]
+    key = "artc" if mode == ReplayMode.ARTC else "thread-order"
+    if key in cache:
+        return cache[key]
     actions = _model_actions(benchmark)
-    if mode == ReplayMode.ARTC:
+    if key == "artc":
         graph = benchmark.graph
-    else:  # TEMPORAL / UNCONSTRAINED: only thread order is guaranteed
+    else:
         graph = build_dependencies(actions, RuleSet.unconstrained())
-    scan = find_races(actions, graph, max_findings=0)
+    scan = find_races(actions, graph, max_findings=0,
+                      table=_touch_table(benchmark))
     races: Optional[int] = None if scan.truncated else scan.n_races
-    cache[mode] = races
+    cache[key] = races
     benchmark._abstract_races = cache
     return races
 

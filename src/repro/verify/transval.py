@@ -29,12 +29,16 @@ trusting the sampled dynamic byte-identity suite:
 The validator walks the emitter's *claims table*
 (:attr:`repro.artc.codegen.JitProgram.facts` -- the IR-derived plan
 sequence, not the generated Python text) against obligations derived
-independently from the dependency graph and the trace.  The scoreboard
-and event cores interpret rather than specialize, so their
-certificates cover the shared obligations: plan faithfulness plus the
-graph invariants their wait machinery relies on (in-range
-duplicate-free predecessor lists, acyclicity under thread sequencing,
-and reduction-closure equality).
+independently from the dependency graph and the trace.  Certifying
+therefore emits programs but never links their bytecode; the first
+replay links the same cached object, so a certificate covers exactly
+the program that runs.  The scoreboard and event cores interpret
+rather than specialize, so their certificates cover the shared
+obligations: plan faithfulness plus the graph invariants their wait
+machinery relies on (in-range duplicate-free predecessor lists,
+acyclicity under thread sequencing, and reduction-closure equality).
+:func:`certify_cores` discharges the shared obligations once for
+several cores.
 
 The result is a :class:`Certificate` per (benchmark, core): a
 machine-checkable record of the obligations discharged and every
@@ -548,37 +552,46 @@ def certify(benchmark: Any, core: str, plan: Any = None,
             reduced: bool = True, max_findings: int = 25) -> Certificate:
     """Discharge every obligation ``core`` relies on for ``benchmark``
     and return the :class:`Certificate`."""
-    if core not in CORES:
-        raise ValueError("unknown replay core %r" % (core,))
+    return certify_cores(benchmark, (core,), plan=plan, reduced=reduced,
+                         max_findings=max_findings)[0]
+
+
+def certify_cores(benchmark: Any, cores: Sequence[str] = CORES,
+                  plan: Any = None, reduced: bool = True,
+                  max_findings: int = 25) -> List[Certificate]:
+    """One :class:`Certificate` per core in ``cores``.  The plan and
+    graph obligations every core relies on are discharged once and
+    their findings and counts attached to each certificate; the jit
+    core adds the claims of every ``_JIT_CONFIGS`` program."""
+    for core in cores:
+        if core not in CORES:
+            raise ValueError("unknown replay core %r" % (core,))
     if plan is None:
         plan = planir.default_plan(benchmark)
-    findings: List[Finding] = []
-    obligations: Dict[str, int] = {}
-
     plan_findings, n_entries = verify_plan(benchmark, plan, max_findings)
-    findings.extend(plan_findings)
-    obligations["plan_entries"] = n_entries
-
     graph_findings, graph_stats = verify_graph(
         benchmark, reduced=reduced, max_findings=max_findings
     )
-    findings.extend(graph_findings)
-    obligations["graph_nodes"] = graph_stats["graph_nodes"]
-
-    if core == "jit":
-        for variant, variant_reduced in _JIT_CONFIGS:
-            program = codegen.program_for(
-                benchmark, plan, variant, variant_reduced
-            )
-            prog_findings, counts = validate_program(
-                benchmark, plan, program, reduced=variant_reduced,
-                max_findings=max_findings,
-            )
-            findings.extend(prog_findings)
-            for key, value in counts.items():
-                obligations[key] = obligations.get(key, 0) + value
-    return Certificate(core, benchmark.label or "", plan.key,
-                       obligations, findings)
+    certificates: List[Certificate] = []
+    for core in cores:
+        findings = plan_findings + graph_findings
+        obligations = {"plan_entries": n_entries,
+                       "graph_nodes": graph_stats["graph_nodes"]}
+        if core == "jit":
+            for variant, variant_reduced in _JIT_CONFIGS:
+                program = codegen.program_for(
+                    benchmark, plan, variant, variant_reduced
+                )
+                prog_findings, counts = validate_program(
+                    benchmark, plan, program, reduced=variant_reduced,
+                    max_findings=max_findings,
+                )
+                findings.extend(prog_findings)
+                for key, value in counts.items():
+                    obligations[key] = obligations.get(key, 0) + value
+        certificates.append(Certificate(core, benchmark.label or "",
+                                        plan.key, obligations, findings))
+    return certificates
 
 
 def plan_pass(benchmark: Any, plans: Sequence[Any],

@@ -146,3 +146,8 @@ class TestObservability(object):
         assert obs.metrics.value("replay.jit.codegen_functions") >= 1
         assert obs.metrics.value("replay.jit.source_bytes") > 0
         assert obs.metrics.value("replay.jit.compile_seconds") > 0
+        assert obs.metrics.value("replay.jit.links") >= 1
+        link_seconds = obs.metrics.value("replay.jit.link_seconds")
+        assert 0 < link_seconds <= obs.metrics.value(
+            "replay.jit.compile_seconds"
+        )

@@ -188,3 +188,37 @@ class TestCrossCheck(object):
         hits = [f for f in findings
                 if f.check == "abstract-errno-contradiction"]
         assert hits and lie_at in hits[0].actions
+
+
+class TestRaceScanSharing(object):
+    def test_thread_order_modes_share_one_race_scan(self, monkeypatch):
+        from repro.verify import abstract
+        from repro.workloads.magritte import build_suite
+
+        app = build_suite(["numbers_start5"])["numbers_start5"]
+        traced = trace_application(app, PLATFORMS["mac-hdd"], seed=0)
+        modes = (ReplayMode.TEMPORAL, ReplayMode.UNCONSTRAINED)
+
+        fresh = compile_trace(traced.trace, traced.snapshot)
+        assert len(fresh.threads) > 1
+        expected = {}
+        for mode in modes:
+            fresh._abstract_races = None
+            expected[mode] = predict(fresh, mode).to_dict()
+
+        bench = compile_trace(traced.trace, traced.snapshot)
+        scans = []
+        original = abstract.find_races
+
+        def counting_find_races(*args, **kwargs):
+            scans.append(kwargs.get("table"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(abstract, "find_races", counting_find_races)
+        for mode in modes:
+            assert predict(bench, mode).to_dict() == expected[mode]
+        assert len(scans) == 1
+        # The ARTC scan reuses the same touch table.
+        predict(bench, ReplayMode.ARTC)
+        assert len(scans) == 2
+        assert scans[0] is not None and scans[1] is scans[0]

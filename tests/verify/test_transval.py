@@ -6,7 +6,7 @@ from repro.artc import codegen, planir
 from repro.artc.compiler import compile_trace
 from repro.bench import PLATFORMS
 from repro.bench.harness import trace_application
-from repro.verify.transval import CORES, Certificate, certify
+from repro.verify.transval import CORES, Certificate, certify, certify_cores
 
 SAMPLES = ("itunes_startsmall1", "pages_pdf15")
 
@@ -149,3 +149,96 @@ class TestStalePlan(object):
             cert = certify(bench, core, plan=plan)
             assert not cert.ok, core
             assert "stale-plan-entry" in checks_of(cert)
+
+
+def replay_fingerprint(bench, mode, core):
+    """Per-action results plus the final state of one replay on the
+    trace's own platform (so the replay's plan is the certified one)."""
+    from repro.artc.init import initialize
+    from repro.artc.replayer import ReplayConfig, replay
+    from repro.tracing.snapshot import Snapshot
+
+    fs = PLATFORMS["mac-hdd"].make_fs(seed=0)
+    initialize(fs, bench.snapshot)
+    report = replay(bench, fs, ReplayConfig(mode=mode, core=core))
+    results = [
+        (r.idx, r.tid, r.name, r.issue, r.done, r.ret, r.err, r.matched,
+         r.skipped)
+        for r in report.results
+    ]
+    final = Snapshot.capture(fs, roots=("/",), label="final").dumps()
+    return report.summary(), results, final
+
+
+class TestLazyLinking(object):
+    """Certification reads only the claims table, so it never links
+    bytecode; the first jit replay links the very program whose facts
+    were certified."""
+
+    def test_certify_never_links_and_replay_links_certified_program(
+            self, monkeypatch):
+        from repro.core.modes import ReplayMode
+
+        bench = fresh_benchmark()
+        links = codegen.COUNTERS["links"]
+        for core in CORES:
+            assert certify(bench, core).ok, core
+        assert codegen.COUNTERS["links"] == links
+        certified = dict(bench._jit_programs)
+        modules = codegen.COUNTERS["codegen_modules"]
+
+        linked = []
+        original = codegen.JitProgram._link
+
+        def recording_link(program):
+            linked.append(program)
+            original(program)
+
+        monkeypatch.setattr(codegen.JitProgram, "_link", recording_link)
+        modes = (ReplayMode.ARTC, ReplayMode.UNCONSTRAINED,
+                 ReplayMode.SINGLE)
+        for mode in modes + modes:
+            assert replay_fingerprint(bench, mode, "jit") == \
+                replay_fingerprint(bench, mode, "scoreboard"), mode
+        # One link per variant used (artc reduced, free, seq), however
+        # many replays run, and no program was emitted again.
+        assert codegen.COUNTERS["links"] == links + len(modes)
+        assert codegen.COUNTERS["codegen_modules"] == modules
+        assert len({id(program) for program in linked}) == len(modes)
+        assert all(any(program is cached for cached in certified.values())
+                   for program in linked)
+        assert bench._jit_programs.keys() == certified.keys()
+        assert all(bench._jit_programs[key] is certified[key]
+                   for key in certified)
+
+    def test_facts_mutated_after_certify_still_rejected(self):
+        bench = fresh_benchmark()
+        assert certify(bench, "jit").ok
+        plan = planir.default_plan(bench)
+        program = codegen.program_for(bench, plan, "artc", True)
+        for fact in program.facts.values():
+            if fact["gate"]:
+                fact["gate"] = False
+                break
+        else:
+            raise AssertionError("sample has no gated action")
+        cert = certify(bench, "jit")
+        assert not cert.ok
+        assert "elided-gate" in checks_of(cert)
+
+
+class TestSharedObligations(object):
+    def test_certify_cores_matches_per_core_certify(self):
+        clean = fresh_benchmark()
+        stale = fresh_benchmark()
+        plan = planir.default_plan(stale)
+        for entry in plan.entries:
+            if entry[0] == planir.STATIC:
+                entry[1][1]["path"] = "/corrupted-by-test"
+                break
+        for bench in (clean, stale):
+            shared = certify_cores(bench)
+            assert [cert.core for cert in shared] == list(CORES)
+            for cert in shared:
+                assert cert.to_dict() == certify(bench, cert.core).to_dict()
+        assert not any(cert.ok for cert in certify_cores(stale))
