@@ -6,10 +6,11 @@ consume exactly the amount of virtual time the modeled hardware would.
 
 The data path:
 
-- ``read``: page-cache lookup per block; misses (plus a readahead
-  window on sequential streams) are coalesced into physically
-  contiguous runs and submitted; the caller blocks until its own runs
-  complete (readahead beyond the request is asynchronous).
+- ``read``: one page-cache range lookup for the request, which hands
+  back the missing blocks as runs; those (plus a readahead window on
+  sequential streams) are split into physically contiguous runs and
+  submitted; the caller blocks until its own runs complete (readahead
+  beyond the request is asynchronous).
 - ``write``: dirty pages in cache, with dirty-ratio throttling that
   synchronously cleans the oldest pages when the limit is exceeded.
 - ``fsync``: flush the file's dirty pages (or the whole cache for
@@ -23,7 +24,7 @@ from repro.obs.context import of_engine
 from repro.obs.metrics import COUNT_BOUNDS
 from repro.sim.events import Delay, Event, wait_all
 from repro.storage.alloc import BlockAllocator, bytes_to_blocks
-from repro.storage.cache import PageCache
+from repro.storage.cache import PageCache, block_runs
 from repro.storage.device import BLOCK_SIZE, BlockRequest
 from repro.storage.fsprofile import FS_PROFILES
 from repro.storage.scheduler import make_scheduler
@@ -79,7 +80,7 @@ class StorageStack(object):
             self._h_queue_depth = metrics.histogram(
                 "storage.queue_depth_at_submit", COUNT_BOUNDS
             )
-        self._inflight = {}  # (file_id, block) -> completion event
+        self._inflight = {}  # file_id -> {block: completion event}
         # Shared immutable effects for the fixed CPU charges: walk
         # charging and the data path yield these tens of thousands of
         # times per replay, and Delay instances are never mutated by
@@ -289,43 +290,32 @@ class StorageStack(object):
         if nblocks == 0:
             yield self.meta_delay
             return
-        ra_start, ra_end = self.cache.readahead_plan(
-            thread_id, file_id, first, nblocks
-        )
-        missing = []
+        cache = self.cache
+        end = first + nblocks
+        ra_start, ra_end = cache.readahead_plan(thread_id, file_id, first, nblocks)
+        missing = cache.lookup_range(file_id, first, nblocks)
         waits = []
-        lookup = self.cache.lookup
-        # No yields until submission, so the in-flight table cannot
-        # change under this loop; skip the per-block probe entirely in
-        # the common nothing-in-flight case.
-        inflight_get = self._inflight.get if self._inflight else None
-        for block in range(first, first + nblocks):
-            key = (file_id, block)
-            if lookup(key):
-                if inflight_get is not None:
-                    inflight = inflight_get(key)
-                    if inflight is not None and not inflight.is_set:
-                        waits.append(inflight)
-                continue
-            missing.append(block)
-        prefetch = []
-        for block in range(max(ra_start, first + nblocks), ra_end):
-            if not self.cache.contains((file_id, block)):
-                prefetch.append(block)
+        # Hit pages still being fetched are waited for.  No yields until
+        # submission, so the in-flight table cannot change under this
+        # probe, and it runs only when this file has blocks in flight.
+        # Each event is listed once, in the order the hit blocks first
+        # reach it: a repeat wait on an event that has fired is a no-op.
+        inflight = self._inflight.get(file_id)
+        if inflight:
+            events = {}
+            cursor = first
+            for start, stop in missing + [(end, end)]:
+                events.update(dict.fromkeys(map(inflight.get, range(cursor, start))))
+                cursor = stop
+            for event in events:
+                if event is not None and not event.is_set:
+                    waits.append(event)
+        prefetch = cache.absent(file_id, max(ra_start, end), ra_end)
         if self._obs is not None and prefetch:
-            self._c_readahead.inc(len(prefetch))
-        writebacks = []
-        for block in missing + prefetch:
-            writebacks.extend(self.cache.insert((file_id, block), dirty=False))
-        self._writeback_async(thread_id, writebacks)
-        own = self._submit_file_blocks(thread_id, file_id, missing, is_write=False)
-        for request, covered in own:
+            self._c_readahead.inc(sum(stop - start for start, stop in prefetch))
+        own = self._fetch(thread_id, file_id, missing, prefetch)
+        for request, _covered in own:
             waits.append(request.done)
-            self._register_inflight(file_id, covered, request.done)
-        for request, covered in self._submit_file_blocks(
-            thread_id, file_id, prefetch, is_write=False
-        ):  # asynchronous readahead
-            self._register_inflight(file_id, covered, request.done)
         yield from wait_all(waits)
         if self.faults is not None:
             error = None
@@ -333,41 +323,54 @@ class StorageStack(object):
                 if request.error is not None:
                     error = request.error
                     # Drop the never-filled pages so a retry re-reads.
-                    self.cache.invalidate_keys(
-                        (file_id, block) for block in covered
-                    )
+                    cache.invalidate_keys((file_id, block) for block in covered)
             if error is not None:
                 raise DeviceError(error, "read of %r" % (file_id,))
         yield self._page_delay(nblocks)
 
-    def _register_inflight(self, file_id, blocks, done):
-        keys = [(file_id, block) for block in blocks]
-        for key in keys:
-            self._inflight[key] = done
+    def prefetch(self, thread_id, file_id, offset, length):
+        """Start an asynchronous read of the absent pages of a byte
+        range (``posix_fadvise(WILLNEED)``, ``F_RDADVISE``).  A read
+        that arrives before it completes waits for it."""
+        first, nblocks = bytes_to_blocks(offset, length)
+        self._fetch(
+            thread_id, file_id, [], self.cache.absent(file_id, first, first + nblocks)
+        )
+
+    def _fetch(self, thread_id, file_id, runs, prefetch):
+        """Make the absent block runs ``runs`` and ``prefetch`` resident
+        and read them from the device, registering every request as in
+        flight.  Returns ``(request, covered_blocks)`` for ``runs``, the
+        blocks the caller waits for; ``prefetch`` is asynchronous."""
+        if not runs and not prefetch:
+            return []
+        self._writeback_async(
+            thread_id, self.cache.insert_runs(file_id, runs + prefetch, dirty=False)
+        )
+        own = []
+        for lba, count, covered in self._physical_runs(file_id, runs):
+            request = self.submit(thread_id, lba, count, is_write=False)
+            own.append((request, covered))
+            self._register_inflight(file_id, covered, request.done)
+        for lba, count, covered in self._physical_runs(file_id, prefetch):
+            request = self.submit(thread_id, lba, count, is_write=False)
+            self._register_inflight(file_id, covered, request.done)
+        return own
+
+    def _register_inflight(self, file_id, covered, done):
+        table = self._inflight.get(file_id)
+        if table is None:
+            table = self._inflight[file_id] = {}
+        table.update(dict.fromkeys(covered, done))
 
         def _purge(_value):
-            for key in keys:
-                if self._inflight.get(key) is done:
-                    del self._inflight[key]
+            for block in covered:
+                if table.get(block) is done:
+                    del table[block]
+            if not table and self._inflight.get(file_id) is table:
+                del self._inflight[file_id]
 
         done._add_waiter(_purge)
-
-    def _submit_file_blocks(self, thread_id, file_id, blocks, is_write):
-        """Submit a sorted block list as coalesced requests; returns
-        ``(request, covered_file_blocks)`` pairs."""
-        out = []
-        i = 0
-        while i < len(blocks):
-            j = i
-            while j + 1 < len(blocks) and blocks[j + 1] == blocks[j] + 1:
-                j += 1
-            cursor = blocks[i]
-            for lba, count in self.alloc.runs(file_id, blocks[i], j - i + 1):
-                request = self.submit(thread_id, lba, count, is_write)
-                out.append((request, list(range(cursor, cursor + count))))
-                cursor += count
-            i = j + 1
-        return out
 
     def write(self, thread_id, file_id, offset, length):
         """Buffered write: dirty the covered pages, throttling when the
@@ -377,10 +380,9 @@ class StorageStack(object):
             yield self.meta_delay
             return
         self.alloc.ensure_blocks(file_id, first + nblocks)
-        writebacks = []
-        for block in range(first, first + nblocks):
-            writebacks.extend(self.cache.insert((file_id, block), dirty=True))
-        self._writeback_async(thread_id, writebacks)
+        self._writeback_async(
+            thread_id, self.cache.insert_range(file_id, first, nblocks, dirty=True)
+        )
         yield self._page_delay(nblocks)
         if self.cache.dirty_count > self.cache.dirty_limit:
             excess = self.cache.dirty_count - int(self.cache.dirty_limit * 0.9)
@@ -473,34 +475,26 @@ class StorageStack(object):
     # helpers
     # ------------------------------------------------------------------
 
-    def _physical_runs(self, file_id, blocks):
-        """Coalesce a sorted block list into physical (lba, count) runs."""
-        runs = []
-        i = 0
-        while i < len(blocks):
-            j = i
-            while j + 1 < len(blocks) and blocks[j + 1] == blocks[j] + 1:
-                j += 1
-            runs.extend(self.alloc.runs(file_id, blocks[i], j - i + 1))
-            i = j + 1
-        return runs
-
-    def _runs_with_blocks(self, file_id, blocks):
-        """Like :meth:`_physical_runs`, but each ``(lba, count)`` run
-        keeps the file blocks it covers -- the durability tracker needs
-        the mapping to credit completed writes."""
+    def _physical_runs(self, file_id, runs):
+        """Split ascending file block runs ``(start, end)`` into
+        physically contiguous ``(lba, count, covered)`` runs; ``covered``
+        is the ``range`` of file blocks the run carries (the durability
+        tracker needs it to credit completed writes)."""
         out = []
-        i = 0
-        while i < len(blocks):
-            j = i
-            while j + 1 < len(blocks) and blocks[j + 1] == blocks[j] + 1:
-                j += 1
-            cursor = blocks[i]
-            for lba, count in self.alloc.runs(file_id, blocks[i], j - i + 1):
-                out.append((lba, count, list(range(cursor, cursor + count))))
-                cursor += count
-            i = j + 1
+        for start, end in runs:
+            for lba, count in self.alloc.runs(file_id, start, end - start):
+                out.append((lba, count, range(start, start + count)))
+                start += count
         return out
+
+    @staticmethod
+    def _runs_by_file(keys):
+        """Group data-page keys by file, as ascending block runs."""
+        by_file = {}
+        for key in keys:
+            if key[0] != "ino":
+                by_file.setdefault(key[0], []).append(key[1])
+        return [(file_id, block_runs(sorted(blocks))) for file_id, blocks in by_file.items()]
 
     def _writeback_async(self, thread_id, keys):
         """Write evicted dirty pages without blocking the caller."""
@@ -508,44 +502,26 @@ class StorageStack(object):
             return
         if self._obs is not None:
             self._c_writeback.inc(len(keys))
-        by_file = {}
-        for key in keys:
-            by_file.setdefault(key[0], []).append(key[1])
         tracked = self.tracker is not None
-        for file_id, blocks in by_file.items():
-            if file_id == "ino":
-                continue
-            blocks.sort()
-            if not tracked:
-                for lba, run in self._physical_runs(file_id, blocks):
-                    self.submit(thread_id, lba, run, is_write=True)
-            else:
-                for lba, run, covered in self._runs_with_blocks(file_id, blocks):
-                    request = self.submit(thread_id, lba, run, is_write=True)
+        for file_id, runs in self._runs_by_file(keys):
+            for lba, count, covered in self._physical_runs(file_id, runs):
+                request = self.submit(thread_id, lba, count, is_write=True)
+                if tracked:
                     request.covered = (file_id, covered)
 
     def _flush_keys(self, thread_id, keys):
         """Synchronously write the given dirty pages and mark them clean."""
         if not keys:
             return
-        by_file = {}
-        for key in keys:
-            if key[0] == "ino":
-                continue
-            by_file.setdefault(key[0], []).append(key[1])
         waits = []
         submitted = []
         tracked = self.tracker is not None or self.faults is not None
-        for file_id, blocks in by_file.items():
-            blocks.sort()
-            if not tracked:
-                for lba, run in self._physical_runs(file_id, blocks):
-                    waits.append(self.submit(thread_id, lba, run, True).done)
-            else:
-                for lba, run, covered in self._runs_with_blocks(file_id, blocks):
-                    request = self.submit(thread_id, lba, run, True)
+        for file_id, runs in self._runs_by_file(keys):
+            for lba, count, covered in self._physical_runs(file_id, runs):
+                request = self.submit(thread_id, lba, count, True)
+                waits.append(request.done)
+                if tracked:
                     request.covered = (file_id, covered)
-                    waits.append(request.done)
                     submitted.append((request, file_id, covered))
         self.cache.mark_clean(keys)
         yield from wait_all(waits)
@@ -556,9 +532,11 @@ class StorageStack(object):
                 if request.error is not None:
                     error = request.error
                     failed_file = file_id
-                    # The pages never landed: they are dirty again.
-                    for block in covered:
-                        self.cache.insert((file_id, block), dirty=True)
+                    # The pages never landed: they are dirty again, and
+                    # whatever the re-insert evicts is written back.
+                    self._writeback_async(thread_id, self.cache.insert_blocks(
+                        file_id, covered, dirty=True
+                    ))
             if error is not None:
                 raise DeviceError(error, "flush of %r" % (failed_file,))
 

@@ -884,18 +884,7 @@ class FileSystem(object):
         # Kick off asynchronous readahead of the advised range.
         span = min(length or inode.size, 1 << 20)
         if span > 0 and inode.is_reg:
-            from repro.storage.alloc import bytes_to_blocks
-
-            first, nblocks = bytes_to_blocks(offset, span)
-            blocks = [
-                b
-                for b in range(first, first + nblocks)
-                if not self.stack.cache.contains((inode.ino, b))
-            ]
-            for block in blocks:
-                self.stack.cache.insert((inode.ino, block), dirty=False)
-            for lba, run in self.stack._physical_runs(inode.ino, blocks):
-                self.stack.submit(tid, lba, run, is_write=False)
+            self.stack.prefetch(tid, inode.ino, offset, span)
         yield self.stack.meta_delay
         return self._ok(0)
 

@@ -1,6 +1,10 @@
 """Storage-stack edge cases: in-flight pages, RAID writes, journal wrap."""
 
+from repro.errors import DeviceError
+from repro.faults import FaultPlan, FaultRule
+from repro.faults.inject import FaultInjector
 from repro.sim import Engine
+from repro.sim.events import Delay
 from repro.storage import HDD, RAID0, StorageStack
 from repro.storage.alloc import BlockAllocator
 
@@ -56,6 +60,41 @@ class TestInflightPages(object):
         # at least the media-rate transfer of all the data it consumed.
         transfer = 32 * 4096 / (100 * 1024 * 1024)
         assert sum(latencies) >= transfer
+
+
+class TestEvictionWriteback(object):
+    def test_failed_flush_reinsert_writes_back_evictions(self):
+        engine = Engine(0)
+        stack = StorageStack(engine, HDD(), 8 * 4096)
+        stack.cache.dirty_limit = 8  # no throttling: the cache fills
+        stack.attach_faults(FaultInjector(
+            FaultPlan([FaultRule("eio", rate=1.0, op="write", count=1)], seed=1)
+        ))
+        errors = []
+
+        def flusher():
+            yield from stack.write(1, "a", 0, 4 * 4096)
+            try:
+                yield from stack.fsync(1, "a")
+            except DeviceError as exc:
+                errors.append(exc)
+
+        def filler():
+            # Runs while the flush of "a" is on the device: fills the
+            # cache with dirty pages of "b".
+            yield Delay(0.0005)
+            yield from stack.write(2, "b", 0, 8 * 4096)
+
+        engine.spawn(flusher())
+        engine.spawn(filler())
+        engine.run()
+        assert len(errors) == 1
+        # "a" is dirty again; the four pages of "b" its re-insert
+        # evicted went to the device instead of being dropped.
+        assert sorted(stack.cache.dirty_keys_of("a")) == [("a", b) for b in range(4)]
+        assert len(stack.cache.dirty_keys_of("b")) == 4
+        # Four blocks of the failed flush, then the four evicted ones.
+        assert stack.stats.blocks_written == 8
 
 
 class TestRaidWrites(object):

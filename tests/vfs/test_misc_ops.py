@@ -44,6 +44,37 @@ class TestHints(object):
         # the in-call latency matters here.
         assert run(fs, body()) < 0.001
 
+    def test_read_right_after_fadvise_waits_for_device(self, fs):
+        fd = opened(fs)
+        stats = fs.stack.stats
+
+        def body():
+            # Mid-file, so the read itself starts no readahead.
+            yield from fs.fadvise(1, fd, 65536, 65536)
+            submitted = stats.reads_submitted
+            start = fs.engine.now
+            yield from fs.pread(1, fd, 65536, 65536)
+            return fs.engine.now - start, stats.reads_submitted - submitted
+
+        latency, resubmitted = run(fs, body())
+        # The advised pages are in flight, not yet filled: the read
+        # waits for the prefetch's device time instead of re-reading.
+        assert latency > 0.001
+        assert resubmitted == 0
+
+    def test_fadvise_evicting_dirty_pages_writes_them_back(self):
+        fs = make_fs(cache_bytes=16 * 4096)
+        fs.create_file_now("/data", size=1 << 20)
+        fs.stack.cache.dirty_limit = 16  # let the cache fill with dirty pages
+        fd = opened(fs)
+        other = opened(fs, "/other", F.O_RDWR | F.O_CREAT)
+        call(fs, fs.pwrite(1, other, 16 * 4096, 0))
+        assert fs.stack.cache.dirty_count == 16
+        written = fs.stack.stats.blocks_written
+        call(fs, fs.fadvise(1, fd, 0, 16 * 4096))
+        assert fs.stack.cache.dirty_count == 0
+        assert fs.stack.stats.blocks_written - written == 16
+
     def test_fallocate_extends_size(self, fs):
         fd = opened(fs)
         assert call(fs, fs.fallocate(1, fd, 1 << 20, 65536)) == (0, None)
